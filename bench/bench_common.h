@@ -160,6 +160,7 @@ inline BenchArgs parse_args(int argc, char** argv,
   core::register_all_allocators();
   BenchArgs args;
   std::string selector = default_selector;
+  bool explicit_selector = false;
   // Both "--flag value" and "--flag=value" spellings are accepted.
   std::string inline_val;
   bool has_inline = false;
@@ -186,6 +187,7 @@ inline BenchArgs parse_args(int argc, char** argv,
     }
     if (flag == "-t" || flag == "--allocators") {
       selector = need(i);
+      explicit_selector = true;
     } else if (flag == "--mem-mb") {
       args.mem_mb = std::stoull(need(i));
     } else if (flag == "--threads" || flag == "-num") {
@@ -363,6 +365,21 @@ inline BenchArgs parse_args(int argc, char** argv,
     std::cerr << e.what() << "\n";
     std::exit(2);
   }
+  // A --stack that names its base builds that base whatever the cell, so the
+  // selection collapses to one cell carrying the built stack's name; an
+  // explicit -t naming another base contradicts it.
+  if (args.stack.empty()) return args;
+  const auto spec = core::StackSpec::parse(args.stack);
+  if (spec.base.empty()) return args;
+  for (const auto& name : args.allocators) {
+    if (explicit_selector &&
+        core::split_config_suffix(name).first != spec.base) {
+      std::cerr << "--stack " << args.stack << " conflicts with -t " << name
+                << "\n";
+      std::exit(2);
+    }
+  }
+  args.allocators = {spec.name()};
   return args;
 }
 

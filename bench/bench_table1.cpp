@@ -64,6 +64,13 @@ int measure_stability(const gms::bench::BenchArgs& args) {
 int main(int argc, char** argv) {
   using namespace gms;
   const auto args = bench::parse_args(argc, argv);
+  for (const auto& name : args.allocators) {
+    if (core::Registry::instance().find(name) == nullptr) {
+      std::cerr << "Table 1 lists registry entries; " << name
+                << " is not one\n";
+      return 2;
+    }
+  }
   if (args.measure_stability) return measure_stability(args);
 
   core::ResultTable table({"Short Name", "Year", "Family", "Placement", "Ref.",

@@ -20,21 +20,35 @@ namespace gms::alloc {
 /// pairs live in a side bitmap so a stale traversal can never claim an
 /// absorbed block (same safety scheme as RegEffAlloc, where it is justified
 /// in detail).
+///
+/// Exhaustion verdict. One pass running off the end of the list is not proof
+/// of OOM, so malloc() judges every pass:
+///  - a pass that saw a *free* fitting block lost a claim race — not
+///    evidence of exhaustion at all; both budgets reset;
+///  - a pass that saw a fitting block *held allocated* is contended only if
+///    some claim was in flight at its end or the list-mutation generation
+///    moved during it. Under a malloc storm the big tail block is claimed
+///    nearly continuously by a rotating series of winners mid-split, and a
+///    walker can sample dozens of passes without ever catching it free
+///    (observed: 1024 replay lanes OOM-ing against a 97%-free heap); such
+///    passes draw on the kMaxContendedPasses budget;
+///  - every other pass is fruitless, including a held-fit pass with no claim
+///    in flight and no generation change: near exhaustion every fitting
+///    block is a finished allocation, and retrying it for the contended
+///    budget made each failing lane walk the whole list 256 times.
+/// malloc() counts a claim in flight from just before its try_claim CAS
+/// until the split is published or the claim is dropped, and bumps the
+/// generation when it publishes or releases a claim it could not use.
+/// free() touches neither word: a block freed behind a walker is found on
+/// the walker's next pass, which is why one quiescent pass is no proof of
+/// OOM and the fruitless budget is several passes. The generation alone is
+/// not enough either: a holder descheduled between claim and publish for
+/// longer than the fruitless budget looks quiescent, and walkers return
+/// spurious nullptrs.
 class ListHeap {
  public:
   static constexpr std::uint32_t kUnit = 16;
-  /// malloc() walk-pass budgets before reporting exhaustion. A single pass
-  /// running off the end of the list is not proof of OOM, so passes are
-  /// classified and budgeted separately:
-  ///  - a pass that saw a *free* fitting block lost a claim race — not
-  ///    evidence of exhaustion at all, both counters reset;
-  ///  - a pass that saw a fitting block *held allocated* is inconclusive:
-  ///    under a malloc storm the big tail block is claimed nearly
-  ///    continuously by a rotating series of winners mid-split, and a walker
-  ///    can sample dozens of passes without ever catching it free (observed:
-  ///    1024 replay lanes OOM-ing against a 97%-free heap);
-  ///  - only a pass that saw *no* fitting block, free or held, is real
-  ///    evidence, and a few such passes suffice.
+  /// malloc() walk-pass budgets before reporting exhaustion (see above).
   static constexpr unsigned kMaxFruitlessPasses = 8;
   static constexpr unsigned kMaxContendedPasses = 256;
 
@@ -72,13 +86,18 @@ class ListHeap {
     unsigned contended_passes = 0;
     bool saw_free_fit = false;
     bool saw_held_fit = false;
+    std::uint32_t pass_generation = ctx.atomic_load(&generation_);
     for (std::size_t step = 0; step < 2 * std::size_t{units_} + 64; ++step) {
       if (off >= units_) {
         // End of one pass over the list; judge it per the class comment.
+        // In-flight before generation: a holder bumps the generation before
+        // it leaves the in-flight count, so seeing it gone implies the bump.
         if (saw_free_fit) {
           fruitless_passes = 0;
           contended_passes = 0;
-        } else if (saw_held_fit) {
+        } else if (saw_held_fit &&
+                   (ctx.atomic_load(&claims_in_flight_) != 0 ||
+                    ctx.atomic_load(&generation_) != pass_generation)) {
           if (++contended_passes >= kMaxContendedPasses) return nullptr;
           ctx.backoff();  // park so the mid-split holder gets to publish
         } else {
@@ -87,6 +106,7 @@ class ListHeap {
         }
         saw_free_fit = false;
         saw_held_fit = false;
+        pass_generation = ctx.atomic_load(&generation_);
         off = 0;
         continue;
       }
@@ -107,6 +127,8 @@ class ListHeap {
         // A free block that fits. Even if the claim below loses a race, this
         // pass was not fruitless — the space existed, some lane got it.
         saw_free_fit = true;
+        ctx.atomic_add(&claims_in_flight_, 1u);
+        void* block = nullptr;
         if (try_claim(ctx, off)) {
           const std::uint32_t owned_next = ctx.atomic_load(link(off));
           const std::uint32_t avail = owned_next - off - 1;
@@ -119,9 +141,12 @@ class ListHeap {
               ctx.atomic_or(&flags_[split / 32], start_bit(split));
               ctx.atomic_store(link(off), split);
             }
-            return pool_ + std::size_t{off} * kUnit + kUnit;
+            block = pool_ + std::size_t{off} * kUnit + kUnit;
           }
+          ctx.atomic_add(&generation_, 1u);
         }
+        ctx.atomic_sub(&claims_in_flight_, 1u);
+        if (block != nullptr) return block;
       }
       off = next;
     }
@@ -242,6 +267,11 @@ class ListHeap {
   std::uint32_t units_ = 0;
   std::uint64_t* flags_ = nullptr;
   std::uint32_t min_split_units_ = 4;
+  // Exhaustion-verdict words (class comment), one cache line each: every
+  // large malloc writes both, and walkers poll them once per pass.
+  alignas(gpu::kDestructiveInterferenceSize) std::uint32_t generation_ = 0;
+  alignas(gpu::kDestructiveInterferenceSize) std::uint32_t claims_in_flight_ =
+      0;
 };
 
 }  // namespace gms::alloc

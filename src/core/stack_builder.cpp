@@ -167,6 +167,27 @@ bool StackSpec::has(Stage s) const {
   return false;
 }
 
+std::string StackSpec::name() const {
+  std::string out = base;
+  for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
+    switch (*it) {
+      case Stage::kValidate:
+        out += "+V";
+        break;
+      case Stage::kWarpAgg:
+        out += "+W";
+        break;
+      case Stage::kResilient:
+        out += "+R";
+        break;
+      case Stage::kTrace:
+      case Stage::kFault:
+        break;
+    }
+  }
+  return out;
+}
+
 std::string StackSpec::to_string() const {
   std::string out;
   for (Stage s : stages) {
@@ -302,8 +323,7 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
   dev_->arena().clear();  // identical cold start, like Registry::make
   out.manager = f(*dev_, heap_bytes);
 
-  // Harvest borrowed layer pointers + the stack's identity name by walking
-  // the chain outermost-in.
+  // Harvest borrowed layer pointers by walking the chain outermost-in.
   MemoryManager* m = out.manager.get();
   while (m != nullptr) {
     if (auto* t = dynamic_cast<trace::TracingManager*>(m)) {
@@ -314,15 +334,12 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
       m = &fi->inner();
     } else if (auto* v = dynamic_cast<ValidatingManager*>(m)) {
       if (out.validator == nullptr) out.validator = v;
-      if (out.name.empty()) out.name = std::string(v->traits().name);
       m = &v->inner();
     } else if (auto* w = dynamic_cast<alloc_core::WarpAggregator*>(m)) {
       if (out.aggregator == nullptr) out.aggregator = w;
-      if (out.name.empty()) out.name = std::string(w->traits().name);
       m = &w->inner();
     } else if (auto* r = dynamic_cast<alloc_core::ResilientManager*>(m)) {
       if (out.resilient == nullptr) out.resilient = r;
-      if (out.name.empty()) out.name = std::string(r->traits().name);
       m = &r->inner();
     } else {
       // `m` is the base manager; note host-based bases for the trace sink.
@@ -330,7 +347,7 @@ BuiltStack StackBuilder::build(const StackSpec& spec,
       break;
     }
   }
-  if (out.name.empty()) out.name = std::string(entry->traits.name);
+  out.name = spec.name();
 
   if (out.recorder != nullptr) {
     dev_->set_launch_observer(out.recorder.get());

@@ -64,6 +64,11 @@ struct StackSpec {
   static std::string_view stage_name(Stage s);
   [[nodiscard]] bool has(Stage s) const;
   [[nodiscard]] std::string to_string() const;
+  /// Identity of the stack this spec builds (BuiltStack::name): the base
+  /// plus "+V"/"+W"/"+R" per validate/warpagg/resilient stage, innermost
+  /// first; trace and fault stages are transparent — "Halloc+V" for
+  /// "trace>validate>Halloc".
+  [[nodiscard]] std::string name() const;
 };
 
 /// Result of StackBuilder::build(): the composed manager plus borrowed
@@ -83,10 +88,10 @@ struct BuiltStack {
   hostalloc::HostManagerBase* host = nullptr;
   std::unique_ptr<trace::TraceRecorder> recorder;  ///< set iff a trace stage
 
-  /// Identity of the stack: the name of the outermost layer that is not a
-  /// pure observer (trace and fault layers are transparent) — "Halloc",
-  /// "Halloc+V", "Halloc+W". Matches the registered twin names and the
-  /// allocator field written into trace headers.
+  /// Identity of the stack (StackSpec::name): the name of the outermost
+  /// layer that is not a pure observer — "Halloc", "Halloc+V", "Halloc+W".
+  /// Matches the registered twin names and the allocator field written into
+  /// trace headers.
   std::string name;
 };
 

@@ -48,6 +48,7 @@ AllocPerfSeries run_alloc_perf(gpu::Device& dev, core::MemoryManager& mgr,
     }
     series.alloc_ms.push_back(stats.elapsed_ms);
     series.alloc_counters += stats.counters;
+    series.alloc_round_counters.push_back(stats.counters);
     for (void*& p : ptrs) {
       if (p == nullptr) ++failed;
     }

@@ -27,6 +27,9 @@ struct AllocPerfSeries {
   std::uint64_t failed_allocs = 0;
   gpu::StatsCounters alloc_counters;  ///< accumulated over all rounds
   gpu::StatsCounters free_counters;
+  /// The allocation kernel's counters per round, in round order: far
+  /// steadier run to run than alloc_ms, so rounds' work can be compared.
+  std::vector<gpu::StatsCounters> alloc_round_counters;
 
   [[nodiscard]] core::TimingSummary alloc_summary() const {
     return core::TimingSummary::of(alloc_ms);

@@ -2,6 +2,7 @@
 // element the survey calls out for that approach.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "allocators/atomic_alloc.h"
@@ -12,6 +13,8 @@
 #include "allocators/reg_eff.h"
 #include "allocators/scatter_alloc.h"
 #include "allocators/xmalloc.h"
+#include "core/registry.h"
+#include "core/validating_manager.h"
 
 namespace gms::alloc {
 namespace {
@@ -357,6 +360,104 @@ TEST(XMalloc, LargePathUsesMemoryblockList) {
   EXPECT_NE(b, nullptr);
 }
 
+// The two sides of the ListHeap exhaustion verdict (list_heap.h): a fitting
+// block held mid-split must be retried, a fitting block held by a finished
+// allocation must not.
+
+TEST(XMalloc, LargeRequestStormOnMostlyFreeHeapNeverFails) {
+  // 1024 lanes at 2 SMs ask for more than the top class (4 KiB), so every
+  // request walks the Memoryblock list and the tail block is claimed nearly
+  // continuously by rotating mid-split winners. 1024 x 8 KiB fills a quarter
+  // of the heap: any nullptr here is a spurious OOM.
+  Device storm_dev(40u << 20, GpuConfig{.num_sms = 2});
+  constexpr std::size_t kLanes = 1'024;
+  std::size_t nulls = 0;
+  for (int launch = 0; launch < 24; ++launch) {
+    storm_dev.arena().clear();
+    XMalloc mgr(storm_dev, 32u << 20, XMalloc::Config{});
+    std::vector<void*> ptrs(kLanes, nullptr);
+    storm_dev.launch_n(kLanes, [&](ThreadCtx& t) {
+      ptrs[t.thread_rank()] = mgr.malloc(t, 8'192);
+    });
+    nulls += static_cast<std::size_t>(
+        std::count(ptrs.begin(), ptrs.end(), nullptr));
+  }
+  EXPECT_EQ(nulls, 0u);
+}
+
+struct ExhaustionFill {
+  std::size_t bytes = 0;          ///< handed out before the heap ran dry
+  std::size_t failed = 0;         ///< mallocs that returned nullptr
+  std::uint64_t atomics = 0;      ///< device atomics of the fill kernel
+  std::uint64_t list_blocks = 0;  ///< Memoryblock list length afterwards
+};
+
+/// near_oom's fill at 1 SM (deterministic interleaving): 1024 lanes each ask
+/// for up to four 4 KiB blocks from validate>XMalloc on a 4 MiB heap — the
+/// +V redzones push every request past the top class onto the list — and
+/// stop at their first nullptr.
+ExhaustionFill fill_validated_xmalloc() {
+  core::register_all_allocators();
+  Device one_sm(8u << 20, GpuConfig{.num_sms = 1});
+  auto mgr = core::Registry::instance().make("XMalloc+V", one_sm, 4u << 20);
+  constexpr std::size_t kLanes = 1'024;
+  constexpr std::size_t kPerLane = 4;
+  constexpr std::size_t kBytes = 4'096;
+  std::vector<void*> ptrs(kLanes * kPerLane, nullptr);
+  const auto stats = one_sm.launch_n(kLanes, [&](ThreadCtx& t) {
+    for (std::size_t i = 0; i < kPerLane; ++i) {
+      void*& p = ptrs[t.thread_rank() * kPerLane + i];
+      p = mgr->malloc(t, kBytes);
+      if (p == nullptr) break;
+    }
+  });
+  ExhaustionFill fill;
+  fill.atomics = stats.counters.atomic_total();
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    const auto first =
+        ptrs.begin() + static_cast<std::ptrdiff_t>(lane * kPerLane);
+    const auto got = static_cast<std::size_t>(
+        std::find(first, first + kPerLane, nullptr) - first);
+    fill.bytes += got * kBytes;
+    if (got < kPerLane) ++fill.failed;
+  }
+  fill.list_blocks = dynamic_cast<core::ValidatingManager&>(*mgr)
+                         .inner()
+                         .audit()
+                         .structures_walked;
+  one_sm.launch_n(ptrs.size(), [&](ThreadCtx& t) {
+    if (ptrs[t.thread_rank()] != nullptr) {
+      mgr->free(t, ptrs[t.thread_rank()]);
+    }
+  });
+  return fill;
+}
+
+TEST(XMalloc, ExhaustionCostsAFewListWalksPerFailedMalloc) {
+  const ExhaustionFill fill = fill_validated_xmalloc();
+  ASSERT_GT(fill.failed, 0u) << "4x the heap must run it dry";
+  ASSERT_GT(fill.list_blocks, 0u);
+  // A walk visits every block with three atomic loads: start bit, link and
+  // allocated bit (every block on a full list fits the request). A failing
+  // lane may spend its fruitless-pass budget plus the successful mallocs'
+  // share of walking (8.4 walks in all). Retrying finished allocations for
+  // the contended budget cost 256 walks per failure.
+  constexpr std::uint64_t kAtomicsPerVisitedBlock = 3;
+  const double walks_per_failure =
+      static_cast<double>(fill.atomics) /
+      static_cast<double>(fill.failed) /
+      static_cast<double>(fill.list_blocks * kAtomicsPerVisitedBlock);
+  EXPECT_LE(walks_per_failure, alloc::ListHeap::kMaxFruitlessPasses + 2)
+      << fill.atomics << " atomics, " << fill.failed << " failures, "
+      << fill.list_blocks << " blocks";
+}
+
+TEST(XMalloc, ExhaustionFillKeepsItsCapacity) {
+  // The exhaustion verdict only decides when to stop looking; it must not
+  // give up on space a fill could still have used.
+  EXPECT_EQ(fill_validated_xmalloc().bytes, std::size_t{688} * 4'096);
+}
+
 // ---- FDGMalloc -----------------------------------------------------------------
 
 TEST(FdgMalloc, WarpSharesOneSuperblock) {
@@ -391,25 +492,50 @@ TEST(FdgMalloc, WarpFreeAllReleasesEverything) {
 
 TEST(Ouroboros, PageChunksNeverReturnToPool) {
   // -P: a chunk assigned to a page size is never reusable (the paper's
-  // criticism of the page queues).
+  // criticism of the page queues): its pages circulate through the class's
+  // page queue and the chunk never goes back to the pool. So round 2 takes
+  // no new chunk — every pointer lies in a chunk round 1 tagged (a lane that
+  // splits a chunk keeps its first page, so each tagged chunk holds a round-1
+  // pointer). Addresses need not repeat: the page queue is FIFO, and when
+  // racing lanes split more than one chunk in round 1, round 2 dequeues those
+  // chunks' never-used pages ahead of the freed ones.
   dev().arena().clear();
   Ouroboros mgr(dev(), 16u << 20,
                 Ouroboros::Config{.queue = Ouroboros::QueueKind::kStandard,
                                   .chunk_based = false});
+  const std::size_t chunk_bytes = mgr.config().chunk_bytes;
+  auto chunks_of = [&](const std::vector<void*>& ptrs) {
+    std::set<std::size_t> ids;
+    for (void* p : ptrs) {
+      EXPECT_NE(p, nullptr);
+      if (p != nullptr) ids.insert(dev().arena().offset_of(p) / chunk_bytes);
+    }
+    return ids;
+  };
   std::vector<void*> ptrs(512, nullptr);
   dev().launch_n(512, [&](ThreadCtx& t) {
     ptrs[t.thread_rank()] = mgr.malloc(t, 16);
   });
   dev().launch_n(512, [&](ThreadCtx& t) { mgr.free(t, ptrs[t.thread_rank()]); });
-  // Re-allocating the same size reuses the same pages (addresses repeat).
-  std::set<void*> first(ptrs.begin(), ptrs.end());
+  const std::set<std::size_t> tagged = chunks_of(ptrs);
   std::vector<void*> again(512, nullptr);
   dev().launch_n(512, [&](ThreadCtx& t) {
     again[t.thread_rank()] = mgr.malloc(t, 16);
   });
-  std::size_t reused = 0;
-  for (void* p : again) reused += first.count(p);
-  EXPECT_GT(reused, 400u);
+  for (const std::size_t id : chunks_of(again)) {
+    EXPECT_EQ(tagged.count(id), 1u) << "round 2 took a new chunk from the pool";
+  }
+  // Nor can another size class have them once every page is free again.
+  dev().launch_n(512, [&](ThreadCtx& t) {
+    mgr.free(t, again[t.thread_rank()]);
+  });
+  std::vector<void*> big(64, nullptr);
+  dev().launch_n(64, [&](ThreadCtx& t) {
+    big[t.thread_rank()] = mgr.malloc(t, 4096);
+  });
+  for (const std::size_t id : chunks_of(big)) {
+    EXPECT_EQ(tagged.count(id), 0u) << "a 16 B chunk served 4 KiB pages";
+  }
 }
 
 TEST(Ouroboros, ChunkVariantRecyclesAcrossSizes) {

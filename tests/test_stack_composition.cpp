@@ -263,6 +263,25 @@ TEST(StackSpecTest, BareNameIsABase) {
   EXPECT_EQ(spec.base, "Ouro-P-VA");
 }
 
+TEST(StackSpecTest, NameIsTheBuiltStacksIdentity) {
+  // Benches label rows with the spec's name before anything is built; it
+  // must be the identity the built stack reports.
+  EXPECT_EQ(StackSpec::parse("trace>resilient>fault>validate>XMalloc").name(),
+            "XMalloc+V+R");
+  Device dev(kArenaBytes, GpuConfig{.num_sms = kNumSms});
+  for (const char* text : {"XMalloc", "fault>XMalloc", "validate>XMalloc",
+                           "resilient>warpagg>validate>XMalloc",
+                           "warpagg>XMalloc+R"}) {
+    const auto spec = StackSpec::parse(text);
+    const auto stack = StackBuilder(dev).build(spec, kHeapBytes);
+    EXPECT_EQ(stack.name, spec.name()) << text;
+    if (!spec.has(StackSpec::Stage::kFault)) {  // fault names itself "+F"
+      EXPECT_EQ(std::string(stack.manager->traits().name), spec.name())
+          << text;
+    }
+  }
+}
+
 TEST(StackSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW((void)StackSpec::parse("validate>validate>Halloc"),
                std::invalid_argument);  // duplicate stage

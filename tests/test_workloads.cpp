@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/registry.h"
 #include "workloads/alloc_perf.h"
 #include "workloads/fragmentation.h"
@@ -63,19 +65,26 @@ TEST(AllocPerf, MixedSizesDeterministicAcrossManagers) {
 
 TEST(AllocPerf, ReuseRoundsFasterOrEqualOnAverageForQueues) {
   // Ouroboros: re-use is "drastically faster than allocating from an empty
-  // queue initially" (§5) — iteration 0 pays the chunk splits.
+  // queue initially" (§5) — iteration 0 pays the chunk splits, enqueueing
+  // every page of each fresh chunk; later rounds only dequeue. Judged on
+  // device atomics (about 1.6x more in round 0, measured), not on one
+  // kernel's wall time, which swings more than that on a loaded host.
   auto mgr = make("Ouro-P-S");
   AllocPerfParams params;
   params.num_allocs = 8'192;
   params.size = 32;
   params.iterations = 5;
   const auto series = run_alloc_perf(dev(), *mgr, params);
-  const double first = series.alloc_ms.front();
-  const double later =
-      core::TimingSummary::of({series.alloc_ms.begin() + 1,
-                               series.alloc_ms.end()})
-          .median_ms;
-  EXPECT_LT(later, first * 1.5) << "re-use rounds should not regress wildly";
+  ASSERT_EQ(series.alloc_round_counters.size(), params.iterations);
+  std::vector<std::uint64_t> later;
+  for (std::size_t r = 1; r < series.alloc_round_counters.size(); ++r) {
+    later.push_back(series.alloc_round_counters[r].atomic_total());
+  }
+  std::sort(later.begin(), later.end());
+  const std::uint64_t first =
+      series.alloc_round_counters.front().atomic_total();
+  EXPECT_GT(first, later[later.size() / 2])
+      << "round 0 must do more work than the median re-use round";
 }
 
 TEST(Fragmentation, AtomicBaselineIsDense) {
