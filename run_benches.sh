@@ -37,7 +37,7 @@ BENCHES=(bench_table1 bench_init_registers bench_alloc_size bench_alloc_mixed
          bench_replay bench_warpagg bench_resilience bench_service)
 if [[ $SMOKE -eq 1 ]]; then
   BENCHES=(bench_simt bench_alloc_size bench_workgen bench_replay bench_warpagg
-           bench_resilience bench_service)
+           bench_resilience bench_service bench_oom)
 fi
 missing=0
 for b in "${BENCHES[@]}"; do
@@ -110,6 +110,11 @@ if [[ $SMOKE -eq 1 ]]; then
   # Adversarial-corpus regression gate: replay every committed trace under
   # its pinned stack and fail on any verdict drift.
   run "$R"/smoke_corpus.txt    bench_replay --corpus results/corpus
+  # Fig. 11b exhaustion path on the validate twin: every 4 KiB request walks
+  # XMalloc's Memoryblock list, and each failing one is answered by the
+  # ListHeap free-span counter instead of a walk (DESIGN.md §15).
+  run "$R"/smoke_oom_xmalloc.txt bench_oom -t XMalloc --validate --timeout-s 8 \
+                               --mem-mb 48 --json "$R"/oom_xmalloc_smoke.json
   # AllocService smoke (DESIGN.md §13): one 2-device x 4-tenant sweep cell
   # plus the SIGKILL-one-device failover gate — exits non-zero on silent
   # truncation, a missed kill, unrecovered batches, or a same-seed

@@ -45,6 +45,20 @@ namespace gms::alloc {
 /// not enough either: a holder descheduled between claim and publish for
 /// longer than the fruitless budget looks quiescent, and walkers return
 /// spurious nullptrs.
+///
+/// Free-span counter. A third rule answers the common near-OOM case without
+/// a walk: `free_span_` is an upper bound on the total span (units, link
+/// included) of the free blocks, so a value below `need + 1` proves no free
+/// block fits, and malloc() returns nullptr at once — before its first walk
+/// and at the end of every fruitless pass. A heap that is fragmented rather
+/// than full keeps walking and judging passes as above. Three ordering rules
+/// keep the bound, even when a watchdog reaps a lane mid-claim or mid-free:
+///  - free() adds the block's span before it merges and releases the block;
+///  - malloc() subtracts the span it keeps (`need + 1`, or the whole block
+///    when the remainder is not split) after its try_claim CAS and before it
+///    publishes the split remainder's start bit;
+///  - a claim released as unusable subtracts nothing: its span stays free.
+/// A cancelled kernel can only leave the counter high, never low.
 class ListHeap {
  public:
   static constexpr std::uint32_t kUnit = 16;
@@ -72,6 +86,7 @@ class ListHeap {
     min_split_units_ = min_split_units;
     flags_[0] |= start_bit(0);
     *link(0) = units;
+    free_span_ = units;
   }
 
   /// Allocates `bytes`; returns nullptr when no block fits.
@@ -81,6 +96,7 @@ class ListHeap {
     // SIZE_MAX/2 request must not truncate into a tiny "successful" one).
     if (bytes > std::size_t{units_} * kUnit) return nullptr;
     const auto need = static_cast<std::uint32_t>((bytes + kUnit - 1) / kUnit);
+    if (ctx.atomic_load(&free_span_) <= need) return nullptr;  // full heap
     std::uint32_t off = 0;
     unsigned fruitless_passes = 0;
     unsigned contended_passes = 0;
@@ -101,7 +117,10 @@ class ListHeap {
           if (++contended_passes >= kMaxContendedPasses) return nullptr;
           ctx.backoff();  // park so the mid-split holder gets to publish
         } else {
-          if (++fruitless_passes >= kMaxFruitlessPasses) return nullptr;
+          if (++fruitless_passes >= kMaxFruitlessPasses ||
+              ctx.atomic_load(&free_span_) <= need) {
+            return nullptr;
+          }
           ctx.backoff();
         }
         saw_free_fit = false;
@@ -133,9 +152,12 @@ class ListHeap {
           const std::uint32_t owned_next = ctx.atomic_load(link(off));
           const std::uint32_t avail = owned_next - off - 1;
           if (avail < need) {
-            release(ctx, off);
+            release(ctx, off);  // unusable: its span stays free
           } else {
-            if (avail - need >= min_split_units_) {  // split usable remainder
+            const bool split_rest = avail - need >= min_split_units_;
+            ctx.atomic_sub(&free_span_,
+                           split_rest ? need + 1 : owned_next - off);
+            if (split_rest) {  // split usable remainder
               const std::uint32_t split = off + need + 1;
               ctx.atomic_store(link(split), owned_next);
               ctx.atomic_or(&flags_[split / 32], start_bit(split));
@@ -158,6 +180,7 @@ class ListHeap {
     const auto unit = static_cast<std::uint32_t>(byte_off / kUnit) - 1;
     assert(is_start(ctx, unit));
     const std::uint32_t next = ctx.atomic_load(link(unit));
+    ctx.atomic_add(&free_span_, next - unit);  // before the block is free
     if (next < units_ && is_start(ctx, next) && !is_allocated(ctx, next) &&
         try_claim(ctx, next)) {
       // Merge with the (free) successor we just locked.
@@ -175,18 +198,24 @@ class ListHeap {
   /// Host-side integrity walk for MemoryManager::audit() (quiescent only):
   /// follows the block list from unit 0 and checks the invariants that hold
   /// even after a cancelled kernel — every reached block carries its start
-  /// bit, links are strictly increasing, and the walk terminates exactly at
-  /// `units_`. A block claimed by a reaped lane merely looks allocated
-  /// (bounded leakage, not a failure); a broken link or missing start bit is
-  /// corruption. Returns blocks walked; sets *why on failure.
+  /// bit, links are strictly increasing, the walk terminates exactly at
+  /// `units_`, and the free-span counter is at least the summed span of the
+  /// free blocks walked. A block claimed by a reaped lane merely looks
+  /// allocated, and a reaped lane can leave the counter high (bounded
+  /// leakage, not a failure); a broken link, a missing start bit or a
+  /// counter below the free span (it would return spurious nullptrs) is
+  /// corruption. Returns blocks walked and, if asked, the walked free span;
+  /// sets *why on failure.
   [[nodiscard]] bool audit_host(std::uint64_t& blocks_walked,
-                                std::string* why) const {
+                                std::string* why,
+                                std::uint64_t* free_units = nullptr) const {
     blocks_walked = 0;
+    std::uint64_t walked_free = 0;
+    if (free_units != nullptr) *free_units = 0;
     if (pool_ == nullptr || units_ == 0) return true;  // never initialised
     std::uint32_t off = 0;
     // units_+1 blocks can never exist: every block spans >= 1 unit + link.
-    for (std::size_t step = 0; step <= units_; ++step) {
-      if (off == units_) return true;  // clean end of heap
+    for (std::size_t step = 0; step <= units_ && off != units_; ++step) {
       const std::uint64_t flags = std::atomic_ref<std::uint64_t>(
                                       flags_[off / 32])
                                       .load(std::memory_order_acquire);
@@ -210,24 +239,31 @@ class ListHeap {
         }
         return false;
       }
+      if ((flags & alloc_bit(off)) == 0) walked_free += next - off;
       ++blocks_walked;
       off = next;
     }
-    if (why != nullptr) *why = "list-heap: block list does not terminate";
-    return false;  // more blocks than units: a cycle through stale flags
+    if (off != units_) {
+      if (why != nullptr) *why = "list-heap: block list does not terminate";
+      return false;  // more blocks than units: a cycle through stale flags
+    }
+    if (free_units != nullptr) *free_units = walked_free;
+    if (free_span_host() < walked_free) {
+      if (why != nullptr) {
+        *why = "list-heap: free-span counter " +
+               std::to_string(free_span_host()) + " below the " +
+               std::to_string(walked_free) + " free units walked";
+      }
+      return false;
+    }
+    return true;
   }
 
-  /// Number of blocks on the list (test/diagnostic, quiescent only).
-  [[nodiscard]] std::size_t block_count(gpu::ThreadCtx& ctx) {
-    std::size_t n = 0;
-    for (std::uint32_t off = 0; off < units_;) {
-      if (!is_start(ctx, off)) break;
-      ++n;
-      const std::uint32_t next = ctx.atomic_load(link(off));
-      if (next <= off) break;
-      off = next;
-    }
-    return n;
+  /// The free-span counter (class comment; host-side, quiescent only).
+  [[nodiscard]] std::uint32_t free_span_host() const {
+    return std::atomic_ref<std::uint32_t>(
+               const_cast<std::uint32_t&>(free_span_))
+        .load(std::memory_order_acquire);
   }
 
  private:
@@ -272,6 +308,9 @@ class ListHeap {
   alignas(gpu::kDestructiveInterferenceSize) std::uint32_t generation_ = 0;
   alignas(gpu::kDestructiveInterferenceSize) std::uint32_t claims_in_flight_ =
       0;
+  // Free-span counter (class comment): every large malloc and free writes
+  // it, every malloc reads it first.
+  alignas(gpu::kDestructiveInterferenceSize) std::uint32_t free_span_ = 0;
 };
 
 }  // namespace gms::alloc

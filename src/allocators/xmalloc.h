@@ -73,6 +73,8 @@ class XMalloc final : public core::MemoryManager {
     return classes_;
   }
   [[nodiscard]] const Config& config() const { return cfg_; }
+  /// The Memoryblock list behind the large path and superblock refills.
+  [[nodiscard]] const ListHeap& memoryblock_heap() const { return heap_; }
 
  private:
   struct BasicHeader {

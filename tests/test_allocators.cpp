@@ -390,23 +390,25 @@ struct ExhaustionFill {
   std::size_t failed = 0;         ///< mallocs that returned nullptr
   std::uint64_t atomics = 0;      ///< device atomics of the fill kernel
   std::uint64_t list_blocks = 0;  ///< Memoryblock list length afterwards
+  /// Device atomics of one more 4 KiB malloc from one lane after the fill.
+  std::uint64_t failed_malloc_atomics = 0;
 };
 
 /// near_oom's fill at 1 SM (deterministic interleaving): 1024 lanes each ask
-/// for up to four 4 KiB blocks from validate>XMalloc on a 4 MiB heap — the
-/// +V redzones push every request past the top class onto the list — and
-/// stop at their first nullptr.
-ExhaustionFill fill_validated_xmalloc() {
+/// for up to heap/1 MiB 4 KiB blocks (4x the heap in all) from
+/// validate>XMalloc — the +V redzones push every request past the top class
+/// onto the list — and stop at their first nullptr.
+ExhaustionFill fill_validated_xmalloc(std::size_t heap_bytes = 4u << 20) {
   core::register_all_allocators();
-  Device one_sm(8u << 20, GpuConfig{.num_sms = 1});
-  auto mgr = core::Registry::instance().make("XMalloc+V", one_sm, 4u << 20);
+  Device one_sm(2 * heap_bytes, GpuConfig{.num_sms = 1});
+  auto mgr = core::Registry::instance().make("XMalloc+V", one_sm, heap_bytes);
   constexpr std::size_t kLanes = 1'024;
-  constexpr std::size_t kPerLane = 4;
+  const std::size_t per_lane = heap_bytes >> 20;
   constexpr std::size_t kBytes = 4'096;
-  std::vector<void*> ptrs(kLanes * kPerLane, nullptr);
+  std::vector<void*> ptrs(kLanes * per_lane, nullptr);
   const auto stats = one_sm.launch_n(kLanes, [&](ThreadCtx& t) {
-    for (std::size_t i = 0; i < kPerLane; ++i) {
-      void*& p = ptrs[t.thread_rank() * kPerLane + i];
+    for (std::size_t i = 0; i < per_lane; ++i) {
+      void*& p = ptrs[t.thread_rank() * per_lane + i];
       p = mgr->malloc(t, kBytes);
       if (p == nullptr) break;
     }
@@ -415,16 +417,21 @@ ExhaustionFill fill_validated_xmalloc() {
   fill.atomics = stats.counters.atomic_total();
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     const auto first =
-        ptrs.begin() + static_cast<std::ptrdiff_t>(lane * kPerLane);
+        ptrs.begin() + static_cast<std::ptrdiff_t>(lane * per_lane);
     const auto got = static_cast<std::size_t>(
-        std::find(first, first + kPerLane, nullptr) - first);
+        std::find(first, first + per_lane, nullptr) - first);
     fill.bytes += got * kBytes;
-    if (got < kPerLane) ++fill.failed;
+    if (got < per_lane) ++fill.failed;
   }
   fill.list_blocks = dynamic_cast<core::ValidatingManager&>(*mgr)
                          .inner()
                          .audit()
                          .structures_walked;
+  void* extra = nullptr;
+  fill.failed_malloc_atomics =
+      one_sm.launch_n(1, [&](ThreadCtx& t) { extra = mgr->malloc(t, kBytes); })
+          .counters.atomic_total();
+  ptrs.push_back(extra);
   one_sm.launch_n(ptrs.size(), [&](ThreadCtx& t) {
     if (ptrs[t.thread_rank()] != nullptr) {
       mgr->free(t, ptrs[t.thread_rank()]);
@@ -439,23 +446,122 @@ TEST(XMalloc, ExhaustionCostsAFewListWalksPerFailedMalloc) {
   ASSERT_GT(fill.list_blocks, 0u);
   // A walk visits every block with three atomic loads: start bit, link and
   // allocated bit (every block on a full list fits the request). A failing
-  // lane may spend its fruitless-pass budget plus the successful mallocs'
-  // share of walking (8.4 walks in all). Retrying finished allocations for
-  // the contended budget cost 256 walks per failure.
+  // lane reads the free-span counter and stops without a walk, so what is
+  // left is the successful mallocs' share of walking (0.4 walks in all).
+  // Spending the fruitless-pass budget on every failure cost 8.4 walks, and
+  // retrying finished allocations for the contended budget 256.
   constexpr std::uint64_t kAtomicsPerVisitedBlock = 3;
   const double walks_per_failure =
       static_cast<double>(fill.atomics) /
       static_cast<double>(fill.failed) /
       static_cast<double>(fill.list_blocks * kAtomicsPerVisitedBlock);
-  EXPECT_LE(walks_per_failure, alloc::ListHeap::kMaxFruitlessPasses + 2)
+  EXPECT_LE(walks_per_failure, 1.0)
       << fill.atomics << " atomics, " << fill.failed << " failures, "
       << fill.list_blocks << " blocks";
+}
+
+TEST(XMalloc, FailedMallocOnAFullHeapCostsConstantAtomics) {
+  // With the heap full, the free-span counter proves no block fits: the
+  // failing malloc reads it once (measured: 1 atomic in all) and its cost
+  // must not grow with the list (4.8x more blocks on the larger heap).
+  constexpr std::uint64_t kMaxAtomics = 4;
+  const ExhaustionFill small = fill_validated_xmalloc(4u << 20);
+  const ExhaustionFill large = fill_validated_xmalloc(16u << 20);
+  ASSERT_GT(large.list_blocks, 3 * small.list_blocks);
+  EXPECT_LE(small.failed_malloc_atomics, kMaxAtomics);
+  EXPECT_EQ(large.failed_malloc_atomics, small.failed_malloc_atomics);
 }
 
 TEST(XMalloc, ExhaustionFillKeepsItsCapacity) {
   // The exhaustion verdict only decides when to stop looking; it must not
   // give up on space a fill could still have used.
   EXPECT_EQ(fill_validated_xmalloc().bytes, std::size_t{688} * 4'096);
+}
+
+TEST(XMalloc, FreeSpanCounterMatchesTheListAfterMixedRounds) {
+  // Large mallocs split blocks and frees merge them, from two SMs at once;
+  // at every quiescent point the counter must equal the free span the audit
+  // walks (it may only run high after a cancelled kernel).
+  Device two_sm(72u << 20, GpuConfig{.num_sms = 2});
+  XMalloc mgr(two_sm, 64u << 20, XMalloc::Config{});
+  const ListHeap& heap = mgr.memoryblock_heap();
+  constexpr std::size_t kLanes = 256;
+  constexpr std::size_t kKept = 2;
+  std::vector<void*> kept(kLanes * kKept, nullptr);
+  std::uint32_t nulls = 0;
+  auto check_counter = [&](const char* when) {
+    std::uint64_t blocks = 0;
+    std::uint64_t free_units = 0;
+    std::string why;
+    EXPECT_TRUE(heap.audit_host(blocks, &why, &free_units)) << why;
+    EXPECT_EQ(heap.free_span_host(), free_units) << when;
+    EXPECT_GT(blocks, 1u) << when;
+  };
+  for (std::uint32_t round = 0; round < 8; ++round) {
+    two_sm.launch_n(kLanes, [&](ThreadCtx& t) {
+      const std::size_t lane = t.thread_rank();
+      void* slot[kKept + 1] = {};
+      for (std::size_t i = 0; i <= kKept; ++i) {
+        // 5 KiB .. 37 KiB: past the top class, straight onto the list.
+        const std::size_t bytes =
+            5'000 + (lane * 7'919 + round * 104'729 + i * 31) % 32'000;
+        slot[i] = mgr.malloc(t, bytes);
+        if (slot[i] == nullptr) t.atomic_add(&nulls, 1u);
+      }
+      mgr.free(t, slot[1]);  // a hole between two live blocks
+      for (std::size_t i = 0; i < kKept; ++i) {
+        mgr.free(t, kept[lane * kKept + i]);  // last round's blocks
+        kept[lane * kKept + i] = slot[i == 0 ? 0 : 2];
+      }
+    });
+    check_counter("after a round");
+  }
+  two_sm.launch_n(kLanes * kKept,
+                  [&](ThreadCtx& t) { mgr.free(t, kept[t.thread_rank()]); });
+  check_counter("after freeing everything");
+  // At most 5 blocks per lane are live at once: under 47 MB of 64 MiB.
+  EXPECT_EQ(nulls, 0u);
+}
+
+TEST(ListHeapTest, FragmentedHeapStillWalksBeforeFailing) {
+  // Consecutive 4 KiB blocks with every other one freed: the free span is
+  // half the heap, yet no hole fits 8 KiB. The counter cannot tell that
+  // apart from a heap with room, so the walk must still decide: the 8 KiB
+  // request fails within the fruitless budget, a 4 KiB one succeeds.
+  constexpr std::uint32_t kBlocks = 64;
+  constexpr std::uint32_t kSpan = 4'096 / ListHeap::kUnit + 1;  // + link
+  constexpr std::uint32_t kUnits = kBlocks * kSpan;
+  std::vector<std::uint64_t> pool(std::size_t{kUnits} * ListHeap::kUnit / 8);
+  std::vector<std::uint64_t> flags(ListHeap::flag_words(kUnits));
+  ListHeap heap;
+  heap.init_host(reinterpret_cast<std::byte*>(pool.data()), kUnits,
+                 flags.data());
+  Device one_sm(1u << 20, GpuConfig{.num_sms = 1});
+  std::vector<void*> blocks(kBlocks, nullptr);
+  one_sm.launch_n(1, [&](ThreadCtx& t) {
+    for (auto& b : blocks) b = heap.malloc(t, 4'096);
+    for (std::uint32_t i = 0; i < kBlocks; i += 2) heap.free(t, blocks[i]);
+  });
+  ASSERT_EQ(std::count(blocks.begin(), blocks.end(), nullptr), 0);
+  ASSERT_EQ(heap.free_span_host(), kBlocks / 2 * kSpan);
+
+  void* big = &big;
+  void* fits = nullptr;
+  const auto stats = one_sm.launch_n(1, [&](ThreadCtx& t) {
+    big = heap.malloc(t, 8'192);
+    fits = heap.malloc(t, 4'096);
+  });
+  EXPECT_EQ(big, nullptr);
+  EXPECT_NE(fits, nullptr);
+  // Three atomic loads per visited block on each fruitless pass, plus the
+  // 4 KiB claim and a few counter reads.
+  constexpr std::uint64_t kAtomicsPerVisitedBlock = 3;
+  EXPECT_LE(stats.counters.atomic_total(),
+            (ListHeap::kMaxFruitlessPasses + 1) * kBlocks *
+                kAtomicsPerVisitedBlock);
+  EXPECT_GE(stats.counters.atomic_total(),
+            ListHeap::kMaxFruitlessPasses * kBlocks)
+      << "the 8 KiB request must walk the list, not trust the counter";
 }
 
 // ---- FDGMalloc -----------------------------------------------------------------

@@ -16,9 +16,11 @@
 #include <thread>
 #include <vector>
 
+#include "allocators/xmalloc.h"
 #include "core/registry.h"
 #include "core/stub_allocators.h"
 #include "core/survey_runner.h"
+#include "core/validating_manager.h"
 #include "gpu/device.h"
 #include "gpu/watchdog.h"
 
@@ -381,6 +383,79 @@ INSTANTIATE_TEST_SUITE_P(Allocators, PostCancellationAudit,
                            }
                            return n;
                          });
+
+// The XMalloc case above in its near-OOM form: a cancelled exhaustion fill.
+// Lanes fill validate>XMalloc to their first nullptr and spin until the
+// watchdog reaps them. The ListHeap free-span counter must still bound the
+// free span the audit walks, and once the fill is freed a fresh fill must get
+// every block back: a counter left low would cut it short with nullptrs.
+TEST(PostCancellationAuditXMalloc, FreeSpanCounterSurvivesCancelledFill) {
+  core::register_all_allocators();
+  Device dev(16u << 20, GpuConfig{.num_sms = 2, .watchdog_ms = 150});
+  auto mgr = Registry::instance().make("XMalloc+V", dev, 4u << 20);
+  const auto& heap = dynamic_cast<alloc::XMalloc&>(
+                         dynamic_cast<core::ValidatingManager&>(*mgr).inner())
+                         .memoryblock_heap();
+  constexpr std::size_t kLanes = 1'024;
+  constexpr std::size_t kPerLane = 4;
+  constexpr std::size_t kBytes = 4'096;
+  std::vector<void*> ptrs(kLanes * kPerLane, nullptr);
+  auto fill_lane = [&](ThreadCtx& t) {
+    for (std::size_t i = 0; i < kPerLane; ++i) {
+      void*& p = ptrs[t.thread_rank() * kPerLane + i];
+      p = mgr->malloc(t, kBytes);
+      if (p == nullptr) break;
+    }
+  };
+  auto filled_bytes = [&] {
+    return kBytes * static_cast<std::size_t>(std::count_if(
+                        ptrs.begin(), ptrs.end(),
+                        [](void* p) { return p != nullptr; }));
+  };
+  auto free_all = [&] {
+    dev.launch_n(ptrs.size(), [&](ThreadCtx& t) {
+      void*& p = ptrs[t.thread_rank()];
+      if (p != nullptr) mgr->free(t, p);
+      p = nullptr;
+    });
+  };
+  auto expect_counter_bounds_free_span = [&](const char* when) {
+    std::uint64_t blocks = 0;
+    std::uint64_t free_units = 0;
+    std::string why;
+    EXPECT_TRUE(heap.audit_host(blocks, &why, &free_units)) << when << why;
+    EXPECT_GE(heap.free_span_host(), free_units) << when;
+    EXPECT_TRUE(mgr->audit().ok) << when;
+  };
+  constexpr std::size_t kCapacity = std::size_t{688} * kBytes;
+
+  std::uint32_t lanes_filled = 0;
+  bool cancelled = false;
+  try {
+    // One block per SM: spinning blocks would keep later ones off the SMs.
+    dev.launch_n(
+        kLanes,
+        [&](ThreadCtx& t) {
+          fill_lane(t);
+          t.atomic_add(&lanes_filled, 1u);
+          for (;;) t.backoff();
+        },
+        kLanes / 2);
+  } catch (const gpu::LaunchTimeout&) {
+    cancelled = true;
+  }
+  ASSERT_TRUE(cancelled) << "watchdog did not fire";
+  ASSERT_EQ(lanes_filled, kLanes) << "the watchdog fired before the fill ran dry";
+  EXPECT_EQ(filled_bytes(), kCapacity);
+  expect_counter_bounds_free_span("after the cancelled fill: ");
+
+  free_all();
+  expect_counter_bounds_free_span("after freeing it: ");
+  dev.launch_n(kLanes, fill_lane);
+  EXPECT_FALSE(dev.last_launch_cancelled());
+  EXPECT_EQ(filled_bytes(), kCapacity);
+  free_all();
+}
 
 }  // namespace
 }  // namespace gms
